@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -322,6 +323,36 @@ func TestExpandPatterns(t *testing.T) {
 	}
 	if len(dirs) != 1 {
 		t.Errorf("expected only this package dir under %s, got %v", cwd, dirs)
+	}
+}
+
+// TestExpandPatternsSkipsNestedModule checks ./... stops at a
+// subdirectory with its own go.mod, as go list does: a nested module
+// (such as a benchmark with its own go.mod) is not part of the tree.
+func TestExpandPatternsSkipsNestedModule(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":            "module m\n",
+		"a/a.go":            "package a\n",
+		"nested/go.mod":     "module m/nested\n",
+		"nested/n.go":       "package nested\n",
+		"nested/inner/i.go": "package inner\n",
+	}
+	for name, body := range files {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, dirs, err := ExpandPatterns(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Join(root, "a")}; !slices.Equal(dirs, want) {
+		t.Errorf("ExpandPatterns(./...) = %v, want %v", dirs, want)
 	}
 }
 

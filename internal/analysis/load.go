@@ -372,10 +372,17 @@ func ExpandPatterns(cwd string, patterns []string) (root string, dirs []string, 
 			if !d.IsDir() {
 				return nil
 			}
-			name := d.Name()
-			if path != base && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
+			if path != base {
+				name := d.Name()
+				if name == "testdata" || name == "vendor" ||
+					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+					return filepath.SkipDir
+				}
+				// A directory with its own go.mod is another module,
+				// which ./... does not reach (as with go list).
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			if names, err := goFilesIn(path); err == nil && len(names) > 0 {
 				add(path)

@@ -6,6 +6,7 @@
 package kernel_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -184,7 +185,7 @@ func TestShardStressMultiApp(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters*2; it++ {
 				_, err := sys.Ctrl.Acquire(id, shared.Ino, true)
-				if err == fsapi.ErrBusy {
+				if errors.Is(err, fsapi.ErrBusy) {
 					continue // a peer holds it; expected under contention
 				}
 				if err != nil {

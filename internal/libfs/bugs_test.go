@@ -545,11 +545,6 @@ func TestBug46FixedByLockAndDescendantCheck(t *testing.T) {
 func mustIno(t *testing.T, fs *FS, name string) uint64 {
 	t.Helper()
 	var found uint64
-	fs.mtab.Range(func(k, v any) bool {
-		mi := v.(*minode)
-		_ = mi
-		return true
-	})
 	// Names are not stored in minodes; recover the ino from the other
 	// dir's entries instead: a is under /c/d, c is under /a/b.
 	w := th(t, fs)
@@ -560,8 +555,7 @@ func mustIno(t *testing.T, fs *FS, name string) uint64 {
 	}
 	if found == 0 {
 		// Fall back: scan every directory table.
-		fs.mtab.Range(func(k, v any) bool {
-			mi := v.(*minode)
+		fs.mtab.Range(func(mi *minode) bool {
 			if mi.dir == nil {
 				return true
 			}
@@ -582,8 +576,5 @@ func mustIno(t *testing.T, fs *FS, name string) uint64 {
 }
 
 func loadMinode(fs *FS, ino uint64) *minode {
-	if v, ok := fs.mtab.Load(ino); ok {
-		return v.(*minode)
-	}
-	return nil
+	return fs.mtab.Load(ino)
 }

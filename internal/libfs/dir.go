@@ -2,6 +2,7 @@ package libfs
 
 import (
 	"sort"
+	"strings"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/htable"
@@ -11,12 +12,20 @@ import (
 
 // resolve walks path to its minode.
 func (t *Thread) resolve(path string) (*minode, error) {
-	comps := fsapi.Components(path)
 	mi, err := t.fs.getMinode(t, layout.RootIno, false)
 	if err != nil {
 		return nil, err
 	}
-	for depth, name := range comps {
+	// Walk the cleaned path's components in place rather than splitting
+	// it: lookups are the hot path, and a split allocates per call.
+	rest := fsapi.Clean(path)[1:]
+	for depth := 0; rest != ""; depth++ {
+		name := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			name, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
 		if depth > 512 {
 			return nil, fsapi.ErrLoop
 		}
@@ -428,8 +437,8 @@ func (t *Thread) Mkdir(path string) (err error) {
 // rootTails returns the tail cursor slice of the root directory, used
 // only for its length (the FS-wide tail count).
 func (fs *FS) rootTails() []tailCursor {
-	if v, ok := fs.mtab.Load(uint64(layout.RootIno)); ok {
-		return v.(*minode).dir.tails
+	if mi := fs.mtab.Load(uint64(layout.RootIno)); mi != nil {
+		return mi.dir.tails
 	}
 	// Root not faulted in yet: read the count from PM.
 	in, _, _ := layout.ReadInode(fs.dev, fs.geo, layout.RootIno)
@@ -459,8 +468,8 @@ func (t *Thread) Unlink(path string) (err error) {
 	if _, err := fs.removeEntry(dir, name); err != nil {
 		return err
 	}
-	if v, cached := fs.mtab.Load(childIno); cached {
-		fs.destroyFile(t, v.(*minode))
+	if child := fs.mtab.Load(childIno); child != nil {
+		fs.destroyFile(t, child)
 	} else {
 		// Not in our table: zero the record; the kernel reclaims pages
 		// at the directory's next verification.

@@ -169,7 +169,13 @@ type FS struct {
 	opts Options
 	dom  *rcu.Domain
 
-	mtab sync.Map // ino -> *minode
+	mtab inoTable // ino -> *minode
+
+	// renameMu serializes this LibFS's protected directory renames. The
+	// kernel's global rename lease is held per application, so it does
+	// not exclude two threads of one LibFS from each other; without this
+	// mutex both could pass the descendant check before either moves.
+	renameMu sync.Mutex
 
 	inoMu   hlock.SpinLock
 	inoPool []uint64
@@ -246,6 +252,7 @@ func New(ctrl *kernel.Controller, app kernel.AppID, opts Options) *FS {
 		app:  app,
 		opts: opts,
 		dom:  rcu.NewDomain(),
+		mtab: inoTable{size: ctrl.Geometry().InodeCap},
 	}
 }
 

@@ -556,3 +556,35 @@ func TestQuickOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The lookup path allocates nothing: Stat of an existing path walks the
+// components in place and reads the inode table without boxing, and
+// Open+Close allocates at most the descriptor.
+func TestLookupAllocs(t *testing.T) {
+	fs := newFS(t, BugsNone, nil)
+	w := th(t, fs)
+	if err := w.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Create("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := w.Stat("/d/f"); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Stat: %.1f allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		fd, err := w.Open("/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 1 {
+		t.Errorf("Open+Close: %.1f allocs, want <= 1", a)
+	}
+}

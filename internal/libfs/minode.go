@@ -167,8 +167,7 @@ func (mi *minode) stat() fsapi.Stat { return *mi.attrs.Load() }
 // kernel and rebuilding auxiliary state on first touch. t (nil-tolerated)
 // attributes kernel crossings to the operation's span.
 func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
-	if v, ok := fs.mtab.Load(ino); ok {
-		mi := v.(*minode)
+	if mi := fs.mtab.Load(ino); mi != nil {
 		if mi.released.Load() {
 			switch {
 			case write:
@@ -206,8 +205,7 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := fs.mtab.LoadOrStore(ino, mi)
-	return actual.(*minode), nil
+	return fs.mtab.LoadOrStore(ino, mi), nil
 }
 
 // remap re-acquires an inode whose mapping the kernel revoked underneath

@@ -54,8 +54,7 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 // parent is dirIno: the kernel has now seen them, so their resources are
 // no longer locally recyclable.
 func (fs *FS) markChildrenKnown(dirIno uint64) {
-	fs.mtab.Range(func(_, v any) bool {
-		mi := v.(*minode)
+	fs.mtab.Range(func(mi *minode) bool {
 		if mi.parent.Load() == dirIno {
 			mi.fresh.Store(false)
 		}
@@ -86,11 +85,10 @@ func (fs *FS) CommitInode(t *Thread, path string) (err error) {
 // another thread inside an operation dereferences the unmapped core
 // state and crashes (the simulated bus error).
 func (fs *FS) ReleaseInode(ino uint64) error {
-	v, ok := fs.mtab.Load(ino)
-	if !ok {
+	mi := fs.mtab.Load(ino)
+	if mi == nil {
 		return fs.ctrl.Release(fs.app, ino)
 	}
-	mi := v.(*minode)
 	if mi.released.Load() {
 		return nil
 	}
@@ -149,15 +147,14 @@ func (fs *FS) ReleaseAll() error {
 		depth int
 	}
 	var ents []ent
-	fs.mtab.Range(func(_, v any) bool {
-		mi := v.(*minode)
+	fs.mtab.Range(func(mi *minode) bool {
 		if mi.released.Load() {
 			return true
 		}
 		depth := 0
 		for cur := mi.ino; cur != layout.RootIno && depth < 1024; depth++ {
-			if pv, ok := fs.mtab.Load(cur); ok {
-				cur = pv.(*minode).parent.Load()
+			if pmi := fs.mtab.Load(cur); pmi != nil {
+				cur = pmi.parent.Load()
 			} else {
 				break
 			}
@@ -165,8 +162,7 @@ func (fs *FS) ReleaseAll() error {
 		ents = append(ents, ent{mi, depth})
 		return true
 	})
-	// Total order: depth ties broken by inode number, because mtab is a
-	// sync.Map whose Range order varies run to run — and release order
+	// Total order: depth ties broken by inode number. Release order
 	// decides the persist schedule the crash-state enumeration sees, so
 	// it must be deterministic.
 	sort.Slice(ents, func(i, j int) bool {

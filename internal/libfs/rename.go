@@ -43,7 +43,10 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 	protectedDirMove := isDir && crossDir && !fs.opts.Bugs.Has(BugNoCycleCheck)
 	if protectedDirMove {
 		// §4.6 patch, case 1: serialize cross-directory directory renames
-		// through the kernel's global lease.
+		// through the kernel's global lease, and among this LibFS's own
+		// threads, which all hold the lease as one application.
+		fs.renameMu.Lock()
+		defer fs.renameMu.Unlock()
 		begin := t.crossStart()
 		fs.ctrl.RenameLockAcquire(fs.app)
 		t.crossEnd(telemetry.EvRenameLockAcquire, begin)
@@ -125,8 +128,8 @@ func (fs *FS) isAncestor(anc, node *minode) bool {
 		if cur == layout.RootIno {
 			return false
 		}
-		if v, ok := fs.mtab.Load(cur); ok {
-			cur = v.(*minode).parent.Load()
+		if mi := fs.mtab.Load(cur); mi != nil {
+			cur = mi.parent.Load()
 			continue
 		}
 		in, ok, _ := layout.ReadInode(fs.dev, fs.geo, cur)

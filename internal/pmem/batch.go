@@ -2,7 +2,7 @@ package pmem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"arckfs/internal/telemetry"
 )
@@ -19,7 +19,9 @@ import (
 //     A line already queued since the last barrier is absorbed (counted
 //     in Stats.BatchDedup) — this is what coalesces the adjacent 8-byte
 //     block-map entry flushes of writeAt/Truncate into single-line
-//     flushes.
+//     flushes. A repeat of the most recently queued line is absorbed at
+//     once; any other repeat is absorbed when the barrier sorts the
+//     queue, so the count per epoch is the same either way.
 //   - Barrier() drains the queue (one clwb per unique line, adjacent
 //     lines merged into ranged flushes) and issues one fence. A Barrier
 //     is an ordering-epoch boundary: content queued before it is durable
@@ -47,13 +49,15 @@ type Batch struct {
 	dev   *Device
 	eager bool
 
-	// pending is the set of queued line offsets in the current epoch,
-	// allocated on first Flush: a thread that only ever streams (or never
-	// writes) carries no map, which matters when thousands of idle
-	// tenants each hold a Batch.
-	pending map[int64]struct{}
-	// scratch is the reusable sort buffer Barrier drains into.
-	scratch []int64
+	// pending lists the line offsets queued in the current epoch in
+	// Flush order, with no two neighbours equal; Barrier sorts and
+	// dedupes it, then truncates it for reuse, so its backing array is
+	// allocated by the first Flush and then only grows. A slice rather
+	// than a set: clearing a map costs time proportional to the largest
+	// epoch it ever held, a slice reset is free. A thread that only ever
+	// streams (or never writes) allocates nothing, which matters when
+	// thousands of idle tenants each hold a Batch.
+	pending []int64
 	// sink, when set, receives one span event per Flush/stream/Barrier so
 	// a sampled operation's span carries its persist history. The sink is
 	// the owning thread (which no-ops when no span is open), so the
@@ -98,15 +102,12 @@ func (b *Batch) Flush(off, n int64) {
 		return
 	}
 	b.dev.check(off, n)
-	if b.pending == nil {
-		b.pending = make(map[int64]struct{}, 32)
+	if k := len(b.pending); k > 0 && b.pending[k-1] == first {
+		b.dev.Stats.BatchDedup.Add(1)
+		first += LineSize
 	}
 	for l := first; l <= last; l += LineSize {
-		if _, dup := b.pending[l]; dup {
-			b.dev.Stats.BatchDedup.Add(1)
-			continue
-		}
-		b.pending[l] = struct{}{}
+		b.pending = append(b.pending, l)
 	}
 }
 
@@ -138,7 +139,9 @@ func (b *Batch) ZeroStream(off, n int64) {
 	b.dev.ZeroNT(off, n)
 }
 
-// Pending returns the number of queued (not yet written back) lines.
+// Pending returns the number of queued (not yet written back) line
+// flush requests. A line queued twice, not back to back, counts twice
+// until the Barrier merges the two.
 func (b *Batch) Pending() int { return len(b.pending) }
 
 // Barrier ends the current ordering epoch: it drains the queue — one
@@ -147,15 +150,17 @@ func (b *Batch) Pending() int { return len(b.pending) }
 // durable when it returns.
 func (b *Batch) Barrier() {
 	Killpoint("pmem.batch.barrier")
-	drained := int64(len(b.pending))
+	var drained int64
 	if !b.eager && len(b.pending) > 0 {
-		b.scratch = b.scratch[:0]
-		for l := range b.pending {
-			b.scratch = append(b.scratch, l)
+		queued := len(b.pending)
+		slices.Sort(b.pending)
+		lines := slices.Compact(b.pending)
+		drained = int64(len(lines))
+		if dups := int64(queued) - drained; dups > 0 {
+			b.dev.Stats.BatchDedup.Add(dups)
 		}
-		sort.Slice(b.scratch, func(i, j int) bool { return b.scratch[i] < b.scratch[j] })
-		runStart, runEnd := b.scratch[0], b.scratch[0]+LineSize
-		for _, l := range b.scratch[1:] {
+		runStart, runEnd := lines[0], lines[0]+LineSize
+		for _, l := range lines[1:] {
 			if l == runEnd {
 				runEnd += LineSize
 				continue
@@ -164,7 +169,7 @@ func (b *Batch) Barrier() {
 			runStart, runEnd = l, l+LineSize
 		}
 		b.dev.Flush(runStart, runEnd-runStart)
-		clear(b.pending)
+		b.pending = b.pending[:0]
 	}
 	b.dev.Fence()
 	if b.sink != nil {

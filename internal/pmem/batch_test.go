@@ -249,3 +249,64 @@ func le64(p []byte) uint64 {
 	}
 	return v
 }
+
+// largeEpoch queues and drains one 1 MiB epoch of line flushes, the
+// shape of an SSTable write, so later barriers run on a queue that once
+// held 16Ki lines.
+func largeEpoch(b *Batch) {
+	b.Flush(0, 1<<20)
+	b.Barrier()
+}
+
+// A large epoch must leave nothing behind that later small epochs pay
+// for: after it, a two-line Flush+Barrier allocates nothing.
+func TestBarrierAfterLargeEpochAllocsNothing(t *testing.T) {
+	d := New(2<<20, nil)
+	b := d.NewBatch()
+	largeEpoch(b)
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Flush(4096, 8)
+		b.Flush(8192, 8)
+		b.Barrier()
+	})
+	if allocs != 0 {
+		t.Fatalf("2-line Flush+Barrier after a 1 MiB epoch: %.1f allocs, want 0", allocs)
+	}
+}
+
+// Non-adjacent repeats of a line are absorbed at the Barrier: one clwb
+// per unique line, and every repeat counted as dedup.
+func TestBatchDedupesNonAdjacentRepeats(t *testing.T) {
+	d := testDev()
+	b := d.NewBatch()
+	b.Flush(0, 8)
+	b.Flush(256, 8)
+	b.Flush(0, 8)
+	b.Flush(64, 8)
+	b.Flush(256, 8)
+	b.Barrier()
+	if got := d.Stats.Flushes.Load(); got != 3 {
+		t.Fatalf("flushes = %d, want 3", got)
+	}
+	if got := d.Stats.BatchDedup.Load(); got != 2 {
+		t.Fatalf("dedup count = %d, want 2", got)
+	}
+	if b.Pending() != 0 {
+		t.Fatalf("queue not empty after barrier: %d lines", b.Pending())
+	}
+}
+
+// BenchmarkBarrierAfterLargeEpoch records the cost of a two-line epoch
+// on a batch that once drained 1 MiB of lines.
+func BenchmarkBarrierAfterLargeEpoch(bm *testing.B) {
+	d := New(2<<20, nil)
+	b := d.NewBatch()
+	largeEpoch(b)
+	bm.ReportAllocs()
+	bm.ResetTimer()
+	for i := 0; i < bm.N; i++ {
+		b.Flush(4096, 8)
+		b.Flush(8192, 8)
+		b.Barrier()
+	}
+}
