@@ -183,6 +183,18 @@ func (s *System) initTelemetry() {
 		}
 		return n
 	})
+	// "libfs.stale_reads" counts read-only touches of a released inode
+	// that a peer actively held: the kernel refused the re-acquire and
+	// the LibFS served the walk from its last-verified state.
+	s.tel.Gauge("libfs.stale_reads", func() int64 {
+		s.appsMu.Lock()
+		defer s.appsMu.Unlock()
+		var n int64
+		for _, fs := range s.apps {
+			n += fs.Stats.StaleReads.Load()
+		}
+		return n
+	})
 	s.tel.Gauge("trace.events", func() int64 {
 		return int64(s.Ctrl.Trace().Total())
 	})

@@ -206,3 +206,52 @@ func TestParallelAppsPrivateTrees(t *testing.T) {
 		t.Fatalf("verification failures: %+v", sys.Ctrl.Stats.Snapshot())
 	}
 }
+
+// TestStaleReadsGaugeCountsRefusedDirTouches walks a path whose
+// directories a peer application actively holds: the kernel refuses both
+// directory re-acquires, the walk is served from the last-verified
+// state, and the libfs.stale_reads gauge counts the two refusals.
+func TestStaleReadsGaugeCountsRefusedDirTouches(t *testing.T) {
+	sys, err := NewSystem(Config{DevSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sys.NewApp(0, 0)
+	b := sys.NewApp(0, 0)
+	wa := a.NewThread(0).(*libfs.Thread)
+	if err := wa.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := wa.Create("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	// b takes /, /d and /d/f, then hands only the file back.
+	st, err := b.NewThread(0).Stat("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ReleaseInode(st.Ino); err != nil {
+		t.Fatal(err)
+	}
+	stale := func() int64 { return sys.Telemetry().Snapshot()["libfs.stale_reads"] }
+	if got := stale(); got != 0 {
+		t.Fatalf("libfs.stale_reads = %d before any refused touch", got)
+	}
+	before := sys.Ctrl.Stats.Syscalls.Load()
+	if _, err := wa.Stat("/d/f"); err != nil {
+		t.Fatalf("stat through peer-held directories: %v", err)
+	}
+	if got := stale(); got != 2 {
+		t.Fatalf("libfs.stale_reads = %d after walking two peer-held directories, want 2", got)
+	}
+	if got := a.Stats.StaleReads.Load(); got != 2 {
+		t.Fatalf("a's StaleReads = %d, want 2", got)
+	}
+	// Two refused directory acquires plus the file's own acquire.
+	if got := sys.Ctrl.Stats.Syscalls.Load() - before; got != 3 {
+		t.Fatalf("walk made %d kernel crossings, want 3", got)
+	}
+}

@@ -85,7 +85,7 @@ func (v ctlView) OwnedByOther(app AppID, ino uint64) bool {
 	}
 	// A dormant holder does not block removal — reclaim its lease, just
 	// as a plain Release would have left the inode kernel-held.
-	if v.c.reclaimDormant(se) {
+	if v.c.reclaimDormant(se, false) {
 		return false
 	}
 	return true
@@ -125,8 +125,15 @@ func (c *Controller) isDescendant(node, anc uint64, held *shadowShard) bool {
 // it never will — so the core state is exactly as verified and the
 // kernel reclaims without re-running the verifier. Returns false if
 // there was no dormant mapping or the holder re-activated first.
+//
+// For the same reason the release-time snapshot still describes the
+// core state byte for byte. keepSnap keeps it for an acquire that
+// establishes the next holder at once (establish reuses it); every other
+// caller drops it, because it goes on to change the verified state (a
+// relocation moves the parent, a removal frees the inode) or leaves the
+// inode kernel-held.
 // Caller holds the inode's shard lock or the exclusive epoch.
-func (c *Controller) reclaimDormant(se *shadowEnt) bool {
+func (c *Controller) reclaimDormant(se *shadowEnt, keepSnap bool) bool {
 	m := se.mapping
 	if m == nil || !m.dormant.CompareAndSwap(true, false) {
 		return false
@@ -140,7 +147,9 @@ func (c *Controller) reclaimDormant(se *shadowEnt) bool {
 	c.trace.Record(telemetry.EvUnmap, se.owner, se.info.Ino, 0, 0)
 	se.owner = 0
 	se.mapping = nil
-	se.snap = nil
+	if !keepSnap {
+		se.snap = nil
+	}
 	return true
 }
 
@@ -212,13 +221,13 @@ func (c *Controller) acquireFast(appID AppID, ino uint64, write bool, sink telem
 		se.lease = c.now().Add(c.opts.LeaseTTL)
 		return se.mapping, nil, true
 	}
-	if se.owner != 0 && !c.reclaimDormant(se) {
+	if se.owner != 0 && !c.reclaimDormant(se, true) {
 		holder := c.lookupApp(se.owner)
 		if holder != nil && holder.group.Load() != 0 && holder.group.Load() == a.group.Load() {
 			return c.groupTransfer(se, appID), nil, true
 		}
 		if c.now().Before(se.lease) {
-			return nil, errBusy(ino, se.owner), true
+			return nil, errBusy(se), true
 		}
 		// Lease expired: the involuntary release verifies the holder's
 		// state, which for a directory spans shards — exclusive epoch.
@@ -262,13 +271,13 @@ func (c *Controller) acquireExcl(appID AppID, ino uint64, write bool) (*Mapping,
 		se.lease = c.now().Add(c.opts.LeaseTTL)
 		return se.mapping, nil
 	}
-	if se.owner != 0 && !c.reclaimDormant(se) {
+	if se.owner != 0 && !c.reclaimDormant(se, true) {
 		holder := c.lookupApp(se.owner)
 		if holder != nil && holder.group.Load() != 0 && holder.group.Load() == a.group.Load() {
 			return c.groupTransfer(se, appID), nil
 		}
 		if c.now().Before(se.lease) {
-			return nil, errBusy(ino, se.owner)
+			return nil, errBusy(se)
 		}
 		// Lease expired: involuntary release. The holder may be mid-
 		// operation; that is its problem (§4.3 discussion).
@@ -309,15 +318,19 @@ func (c *Controller) groupTransfer(se *shadowEnt, appID AppID) *Mapping {
 }
 
 // establish snapshots ino's core state and establishes app's mapping.
+// A snapshot kept across a dormant hand-off (reclaimDormant) is reused:
+// the core state has not changed since it was verified.
 // Caller holds se's shard lock or the exclusive epoch.
 func (c *Controller) establish(se *shadowEnt, appID AppID) error {
-	snap, err := c.buildSnapshot(se)
-	if err != nil {
-		// A kernel-held inode that does not parse is corrupt at rest.
-		se.inaccessible = true
-		return fmt.Errorf("inode %d unreadable at acquire: %w", se.info.Ino, err)
+	if se.snap == nil {
+		snap, err := c.buildSnapshot(se)
+		if err != nil {
+			// A kernel-held inode that does not parse is corrupt at rest.
+			se.inaccessible = true
+			return fmt.Errorf("inode %d unreadable at acquire: %w", se.info.Ino, err)
+		}
+		se.snap = snap
 	}
-	se.snap = snap
 	se.owner = appID
 	se.mapping = newMapping(se.info.Ino, appID)
 	se.lease = c.now().Add(c.opts.LeaseTTL)
@@ -326,56 +339,60 @@ func (c *Controller) establish(se *shadowEnt, appID AppID) error {
 	return nil
 }
 
-// buildSnapshot parses and copies the inode's metadata state: the
-// rollback point and verification baseline.
+// buildSnapshot parses the inode's core state and snapshots it.
 func (c *Controller) buildSnapshot(se *shadowEnt) (*snapshot, error) {
 	ino := se.info.Ino
-	snap := &snapshot{pageData: make(map[uint64][]byte)}
-	copyPage := func(p uint64) {
-		b := make([]byte, layout.PageSize)
-		c.dev.Read(int64(p*layout.PageSize), b)
-		snap.pageData[p] = b
-	}
-	rec := make([]byte, layout.InodeSize)
-	c.dev.Read(layout.InodeOff(c.geo, ino), rec)
-	snap.inodeRec = rec
-
 	switch se.info.Type {
 	case layout.TypeDir:
 		dv, err := c.ver.ParseDir(ino)
 		if err != nil {
 			return nil, err
 		}
-		old := &verifier.DirOld{Entries: make(map[string]uint64, len(dv.Entries)), Pages: make(map[uint64]bool, len(dv.Pages))}
-		for name, d := range dv.Entries {
-			old.Entries[name] = d.Ino
-		}
-		copyPage(se.info.DataRoot)
-		for _, p := range dv.Pages {
-			old.Pages[p] = true
-			copyPage(p)
-		}
-		snap.dirOld = old
+		return c.dirSnapshot(se, dv), nil
 	case layout.TypeFile:
 		fv, err := c.ver.ParseFile(ino)
 		if err != nil {
 			return nil, err
 		}
-		old := &verifier.FileOld{Blocks: map[uint64]bool{}, MapPages: map[uint64]bool{}, Size: fv.Inode.Size}
-		for _, p := range fv.MapPages {
-			old.MapPages[p] = true
-			copyPage(p)
-		}
-		for _, b := range fv.Blocks {
-			if b != 0 {
-				old.Blocks[b] = true
-			}
-		}
-		snap.fileOld = old
-	default:
-		return nil, fmt.Errorf("inode %d: unknown type %d", ino, se.info.Type)
+		return c.fileSnapshot(se, fv), nil
 	}
-	return snap, nil
+	return nil, fmt.Errorf("inode %d: unknown type %d", ino, se.info.Type)
+}
+
+// dirSnapshot and fileSnapshot copy a parsed view into a snapshot: the
+// rollback point and verification baseline. The view must describe the
+// core state as it is now — just parsed, or just verified with nothing
+// written since.
+func (c *Controller) dirSnapshot(se *shadowEnt, dv *verifier.DirView) *snapshot {
+	old := &verifier.DirOld{Entries: make(map[string]uint64, len(dv.Entries)), Pages: make(map[uint64]bool, len(dv.Pages))}
+	for name, d := range dv.Entries {
+		old.Entries[name] = d.Ino
+	}
+	for _, p := range dv.Pages {
+		old.Pages[p] = true
+	}
+	snap := c.copyCore(se.info.Ino, append([]uint64{se.info.DataRoot}, dv.Pages...))
+	snap.dirOld = old
+	return snap
+}
+
+func (c *Controller) fileSnapshot(se *shadowEnt, fv *verifier.FileView) *snapshot {
+	snap := c.copyCore(se.info.Ino, fv.MapPages)
+	snap.fileOld = fv.Old()
+	return snap
+}
+
+// copyCore copies ino's inode record and the given metadata pages.
+func (c *Controller) copyCore(ino uint64, pages []uint64) *snapshot {
+	snap := &snapshot{
+		pages:    pages,
+		pageData: make([]byte, len(pages)*layout.PageSize),
+	}
+	c.dev.Read(layout.InodeOff(c.geo, ino), snap.inodeRec[:])
+	for i, p := range pages {
+		c.dev.Read(int64(p*layout.PageSize), snap.pageData[i*layout.PageSize:(i+1)*layout.PageSize])
+	}
+	return snap
 }
 
 // xferKind distinguishes the three ownership-transfer entry points that
@@ -592,11 +609,18 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, int64(res.ChildCount), int64(len(res.Pages)))
 		c.applyNewInode(se, appID, res, view.held)
 		if keepHeld {
-			return c.refreshSnapshot(se)
+			snap, err := c.buildSnapshot(se)
+			if err != nil {
+				return fmt.Errorf("inode %d unreadable after commit: %w", ino, err)
+			}
+			se.snap = snap
 		}
 		return nil
 	}
 
+	// A kept hold's new baseline comes from the view just verified: the
+	// apply steps below write shadow state and page-owner words, never
+	// the inode's core state.
 	switch se.info.Type {
 	case layout.TypeDir:
 		res, err := c.ver.VerifyDir(appID, ino, se.snap.dirOld, view)
@@ -608,6 +632,9 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		}
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, int64(res.View.Records), int64(len(res.View.Pages)))
 		c.applyDir(se, appID, res)
+		if keepHeld {
+			se.snap = c.dirSnapshot(se, res.View)
+		}
 	case layout.TypeFile:
 		res, err := c.ver.VerifyFile(appID, ino, se.snap.fileOld, view)
 		if err != nil {
@@ -618,21 +645,12 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		}
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, 0, int64(len(res.View.MapPages)))
 		c.applyFile(se, appID, res)
+		if keepHeld {
+			se.snap = c.fileSnapshot(se, res.View)
+		}
 	default:
 		return fmt.Errorf("inode %d: unknown shadow type %d", ino, se.info.Type)
 	}
-	if keepHeld {
-		return c.refreshSnapshot(se)
-	}
-	return nil
-}
-
-func (c *Controller) refreshSnapshot(se *shadowEnt) error {
-	snap, err := c.buildSnapshot(se)
-	if err != nil {
-		return fmt.Errorf("inode %d unreadable after commit: %w", se.info.Ino, err)
-	}
-	se.snap = snap
 	return nil
 }
 
@@ -643,10 +661,10 @@ func (c *Controller) applyPolicy(se *shadowEnt, held *shadowShard) {
 	case PolicyRollback:
 		c.Stats.Rollbacks.Add(1)
 		if se.snap != nil {
-			c.dev.Write(layout.InodeOff(c.geo, se.info.Ino), se.snap.inodeRec)
+			c.dev.Write(layout.InodeOff(c.geo, se.info.Ino), se.snap.inodeRec[:])
 			c.dev.Persist(layout.InodeOff(c.geo, se.info.Ino), layout.InodeSize)
-			for p, data := range se.snap.pageData {
-				c.dev.Write(int64(p*layout.PageSize), data)
+			for i, p := range se.snap.pages {
+				c.dev.Write(int64(p*layout.PageSize), se.snap.pageData[i*layout.PageSize:(i+1)*layout.PageSize])
 				c.dev.Persist(int64(p*layout.PageSize), layout.PageSize)
 			}
 		} else {
@@ -696,8 +714,9 @@ func (c *Controller) applyDir(se *shadowEnt, appID AppID, res *verifier.DirResul
 			// is on the old-parent side for directories.
 			child := c.shadowGet(ch.Ino, nil)
 			// A dormant holder's lease does not survive relocation: the
-			// next access pays a full Acquire under the new parent.
-			c.reclaimDormant(child)
+			// next access pays a full Acquire under the new parent, and
+			// a fresh snapshot (the kept one records the old parent).
+			c.reclaimDormant(child, false)
 			child.info.Parent = se.info.Ino
 			child.inode.Parent = se.info.Ino
 			c.writeShadow(child)

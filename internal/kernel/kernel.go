@@ -215,8 +215,14 @@ type shadowEnt struct {
 	// peers (§5.4): within a group the kernel does not tear mappings
 	// down on transfer, so no remap or rebuild is needed.
 	groupMappings []*Mapping
-	snap          *snapshot
-	lease         time.Time
+	// snap is the verified baseline and rollback point. It is set while
+	// an application holds the inode, actively or dormant, and nil while
+	// the kernel holds it.
+	snap  *snapshot
+	lease time.Time
+	// busy is the error refused acquires return while owner holds the
+	// inode; it is rebuilt only when the holder changes.
+	busy *busyError
 
 	inaccessible bool
 }
@@ -224,10 +230,12 @@ type shadowEnt struct {
 type snapshot struct {
 	dirOld  *verifier.DirOld
 	fileOld *verifier.FileOld
-	// pageData holds raw copies of the metadata pages (tail-set and log
-	// pages for directories, map pages for files) for rollback.
-	pageData map[uint64][]byte
-	inodeRec []byte
+	// pages lists the metadata pages (tail-set and log pages for
+	// directories, map pages for files) copied for rollback; pageData
+	// holds their bytes, layout.PageSize per page in the same order.
+	pages    []uint64
+	pageData []byte
+	inodeRec [layout.InodeSize]byte
 }
 
 type app struct {
@@ -741,7 +749,7 @@ func (c *Controller) SetACL(ino uint64, appID AppID, perm uint16) {
 	// permission change: reclaim its mapping so the next access pays a
 	// full, ACL-checked Acquire.
 	if se := sh.m[ino]; se != nil && se.owner != 0 {
-		c.reclaimDormant(se)
+		c.reclaimDormant(se, false)
 	}
 	as := c.aclShardOf(ino)
 	if !as.mu.TryLock() {
@@ -813,9 +821,29 @@ func (c *Controller) OwnerOf(ino uint64) AppID {
 	return 0
 }
 
-// errBusy wraps fsapi.ErrBusy with holder context.
-func errBusy(ino uint64, holder AppID) error {
-	return fmt.Errorf("inode %d held by app %d: %w", ino, holder, fsapi.ErrBusy)
+// busyError is a refused acquire: ino is held by another application
+// under a live lease. It wraps fsapi.ErrBusy. Read-only touches of a
+// held directory are refused on every walk through it, so the error is
+// cached per holder instead of formatted per refusal.
+type busyError struct {
+	ino    uint64
+	holder AppID
+}
+
+func (e *busyError) Error() string {
+	return fmt.Sprintf("inode %d held by app %d: %v", e.ino, e.holder, fsapi.ErrBusy)
+}
+
+func (e *busyError) Unwrap() error { return fsapi.ErrBusy }
+
+// errBusy returns se's refusal error for its current holder. Caller
+// holds se's shard lock or the exclusive epoch; the returned error is
+// never modified.
+func errBusy(se *shadowEnt) error {
+	if se.busy == nil || se.busy.holder != se.owner {
+		se.busy = &busyError{ino: se.info.Ino, holder: se.owner}
+	}
+	return se.busy
 }
 
 // IsVerificationError reports whether err is a verifier rejection.

@@ -20,7 +20,9 @@
 package verifier
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"arckfs/internal/costmodel"
@@ -105,14 +107,6 @@ type DirView struct {
 	Records int
 }
 
-// FileView is the parsed core state of a regular file.
-type FileView struct {
-	Inode layout.Inode
-	// Blocks holds one entry per block the size implies; zero = hole.
-	Blocks   []uint64
-	MapPages []uint64
-}
-
 // ParseDir reads and structurally validates directory ino's core state.
 func (v *V) ParseDir(ino uint64) (*DirView, error) {
 	in, ok, corrupt := layout.ReadInode(v.Dev, v.Geo, ino)
@@ -184,7 +178,40 @@ func (v *V) ParseDir(ino uint64) (*DirView, error) {
 	return dv, nil
 }
 
+// FileView is the parsed core state of a regular file.
+type FileView struct {
+	Inode layout.Inode
+	// Blocks holds one entry per block the size implies; zero = hole.
+	Blocks []uint64
+	// MapPages lists the map pages in chain order.
+	MapPages []uint64
+	// old holds MapPages and the nonzero Blocks in ascending order: the
+	// view as a verification baseline, and its membership sets.
+	old FileOld
+}
+
+// Old returns the view as a verification baseline. Neither the view nor
+// the baseline is modified after parsing.
+func (fv *FileView) Old() *FileOld { return &fv.old }
+
+// uses reports whether page is one of the view's map pages or blocks.
+func (fv *FileView) uses(page uint64) bool {
+	return contains(fv.old.MapPages, page) || contains(fv.old.Blocks, page)
+}
+
+func contains(sorted []uint64, page uint64) bool {
+	_, ok := slices.BinarySearch(sorted, page)
+	return ok
+}
+
 // ParseFile reads and structurally validates file ino's core state.
+//
+// The map chain walk stops at the first map page it meets twice, so it
+// visits at most one map page per data page. A page referenced twice in
+// any other way (a block listed twice, or a page that is both a map page
+// and a block) is found after the walk by sorting the blocks; the error
+// then names the repeat the walk reached first, as a walk that tracked
+// every page it saw would have.
 func (v *V) ParseFile(ino uint64) (*FileView, error) {
 	in, ok, corrupt := layout.ReadInode(v.Dev, v.Geo, ino)
 	if corrupt {
@@ -193,39 +220,57 @@ func (v *V) ParseFile(ino uint64) (*FileView, error) {
 	if !ok || in.Type != layout.TypeFile {
 		return nil, fmt.Errorf("inode %d: not a regular file", ino)
 	}
-	fv := &FileView{Inode: in}
 	need := layout.BlocksForSize(in.Size)
-	seen := map[uint64]bool{}
+	// The size is not trusted yet: a corrupt one must not size the
+	// allocation.
+	fv := &FileView{Inode: in, Blocks: make([]uint64, 0, min(need, layout.MapEntriesPerPage))}
+	fv.old.Size = in.Size
+	var walkErr error
 	page := in.DataRoot
 	idx := 0
+walk:
 	for page != 0 {
 		if page < v.Geo.DataStart || page >= v.Geo.PageCount {
-			return nil, fmt.Errorf("inode %d: map page %d out of range", ino, page)
+			walkErr = fmt.Errorf("inode %d: map page %d out of range", ino, page)
+			break
 		}
-		if seen[page] {
-			return nil, fmt.Errorf("inode %d: map chain cycle at page %d", ino, page)
+		at, seen := slices.BinarySearch(fv.old.MapPages, page)
+		if seen {
+			walkErr = fmt.Errorf("inode %d: map chain cycle at page %d", ino, page)
+			break
 		}
-		seen[page] = true
+		fv.old.MapPages = slices.Insert(fv.old.MapPages, at, page)
 		fv.MapPages = append(fv.MapPages, page)
 		for i := 0; i < layout.MapEntriesPerPage; i++ {
 			b := layout.MapEntry(v.Dev, page, i)
 			if idx < need {
-				if b != 0 {
-					if b < v.Geo.DataStart || b >= v.Geo.PageCount {
-						return nil, fmt.Errorf("inode %d: block %d out of range", ino, b)
-					}
-					if seen[b] {
-						return nil, fmt.Errorf("inode %d: block %d referenced twice", ino, b)
-					}
-					seen[b] = true
+				if b != 0 && (b < v.Geo.DataStart || b >= v.Geo.PageCount) {
+					walkErr = fmt.Errorf("inode %d: block %d out of range", ino, b)
+					break walk
 				}
 				fv.Blocks = append(fv.Blocks, b)
 			} else if b != 0 {
-				return nil, fmt.Errorf("inode %d: block pointer beyond size at index %d", ino, idx)
+				walkErr = fmt.Errorf("inode %d: block pointer beyond size at index %d", ino, idx)
+				break walk
 			}
 			idx++
 		}
 		page = layout.NextPage(v.Dev, page)
+	}
+	fv.old.Blocks = make([]uint64, 0, len(fv.Blocks))
+	for _, b := range fv.Blocks {
+		if b != 0 {
+			fv.old.Blocks = append(fv.old.Blocks, b)
+		}
+	}
+	slices.Sort(fv.old.Blocks)
+	// Every page collected lies before the walk's stopping point, so a
+	// repeat among them is the earlier error.
+	if fv.hasRepeat() {
+		return nil, fv.firstRepeat(ino)
+	}
+	if walkErr != nil {
+		return nil, walkErr
 	}
 	if len(fv.Blocks) < need {
 		return nil, fmt.Errorf("inode %d: map chain too short for size %d", ino, in.Size)
@@ -233,4 +278,55 @@ func (v *V) ParseFile(ino uint64) (*FileView, error) {
 	v.Cost.VerifyPages(len(fv.MapPages))
 	v.Stats.Pages.Add(int64(len(fv.MapPages)))
 	return fv, nil
+}
+
+// hasRepeat reports whether a block is listed twice or is also a map
+// page (map pages are distinct: the walk stops at a repeated one).
+func (fv *FileView) hasRepeat() bool {
+	for i := 1; i < len(fv.old.Blocks); i++ {
+		if fv.old.Blocks[i] == fv.old.Blocks[i-1] {
+			return true
+		}
+	}
+	for _, p := range fv.old.MapPages {
+		if contains(fv.old.Blocks, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// firstRepeat names the repeated page a chain-order walk meets first: a
+// map page seen before closes a cycle, a block seen before is referenced
+// twice. Only rejected files reach it.
+func (fv *FileView) firstRepeat(ino uint64) error {
+	type visit struct {
+		page    uint64
+		at      int
+		mapPage bool
+	}
+	var seq []visit
+	for k, mp := range fv.MapPages {
+		seq = append(seq, visit{mp, len(seq), true})
+		lo := min(k*layout.MapEntriesPerPage, len(fv.Blocks))
+		hi := min(lo+layout.MapEntriesPerPage, len(fv.Blocks))
+		for _, b := range fv.Blocks[lo:hi] {
+			if b != 0 {
+				seq = append(seq, visit{b, len(seq), false})
+			}
+		}
+	}
+	slices.SortFunc(seq, func(a, b visit) int {
+		return cmp.Or(cmp.Compare(a.page, b.page), cmp.Compare(a.at, b.at))
+	})
+	first := visit{at: len(seq)}
+	for i := 1; i < len(seq); i++ {
+		if seq[i].page == seq[i-1].page && seq[i].at < first.at {
+			first = seq[i]
+		}
+	}
+	if first.mapPage {
+		return fmt.Errorf("inode %d: map chain cycle at page %d", ino, first.page)
+	}
+	return fmt.Errorf("inode %d: block %d referenced twice", ino, first.page)
 }

@@ -1,6 +1,9 @@
 package verifier
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -348,6 +351,192 @@ func TestParseFileChecks(t *testing.T) {
 	layout.SetNextPage(dev, mapPage, mapPage)
 	if _, err := v.ParseFile(ino); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("map cycle accepted: %v", err)
+	}
+	layout.SetNextPage(dev, mapPage, 0)
+
+	// A map page also listed as a data block is a block referenced twice.
+	layout.SetMapEntry(dev, mapPage, 1, mapPage)
+	want := fmt.Sprintf("inode %d: block %d referenced twice", ino, mapPage)
+	if _, err := v.ParseFile(ino); err == nil || err.Error() != want {
+		t.Fatalf("map page listed as a block: %v, want %q", err, want)
+	}
+	// A data block that the chain then reaches as a map page closes a
+	// cycle.
+	layout.SetMapEntry(dev, mapPage, 1, data1+1)
+	layout.ZeroPage(dev, data1+1)
+	layout.SetNextPage(dev, mapPage, data1+1)
+	want = fmt.Sprintf("inode %d: map chain cycle at page %d", ino, data1+1)
+	if _, err := v.ParseFile(ino); err == nil || err.Error() != want {
+		t.Fatalf("block reached as a map page: %v, want %q", err, want)
+	}
+}
+
+// seenSetParse is ParseFile's specification: a chain-order walk that
+// remembers every page it has met and stops at the first structural
+// error.
+func seenSetParse(v *V, ino uint64) (blocks, mapPages []uint64, err error) {
+	in, _, _ := layout.ReadInode(v.Dev, v.Geo, ino)
+	need := layout.BlocksForSize(in.Size)
+	seen := map[uint64]bool{}
+	idx := 0
+	for page := in.DataRoot; page != 0; page = layout.NextPage(v.Dev, page) {
+		if page < v.Geo.DataStart || page >= v.Geo.PageCount {
+			return nil, nil, fmt.Errorf("inode %d: map page %d out of range", ino, page)
+		}
+		if seen[page] {
+			return nil, nil, fmt.Errorf("inode %d: map chain cycle at page %d", ino, page)
+		}
+		seen[page] = true
+		mapPages = append(mapPages, page)
+		for i := 0; i < layout.MapEntriesPerPage; i++ {
+			b := layout.MapEntry(v.Dev, page, i)
+			if idx < need {
+				if b != 0 {
+					if b < v.Geo.DataStart || b >= v.Geo.PageCount {
+						return nil, nil, fmt.Errorf("inode %d: block %d out of range", ino, b)
+					}
+					if seen[b] {
+						return nil, nil, fmt.Errorf("inode %d: block %d referenced twice", ino, b)
+					}
+					seen[b] = true
+				}
+				blocks = append(blocks, b)
+			} else if b != 0 {
+				return nil, nil, fmt.Errorf("inode %d: block pointer beyond size at index %d", ino, idx)
+			}
+			idx++
+		}
+	}
+	if len(blocks) < need {
+		return nil, nil, fmt.Errorf("inode %d: map chain too short for size %d", ino, in.Size)
+	}
+	return blocks, mapPages, nil
+}
+
+// TestParseFileMatchesSeenSetWalk runs ParseFile on random map chains —
+// cycles, repeated and out-of-range pages, pointers beyond the size —
+// and requires the verdict, error text and page lists of the seen-set
+// walk, and baseline sets that are the sorted page lists.
+func TestParseFileMatchesSeenSetWalk(t *testing.T) {
+	dev := pmem.New(256*layout.PageSize, nil)
+	g, err := layout.Mkfs(dev, 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &V{Mode: Enhanced, Dev: dev, Geo: g}
+	const ino = 3
+	rng := rand.New(rand.NewPCG(1, 2))
+	const E = layout.MapEntriesPerPage
+	// page draws a page number. A clean case draws distinct pages; the
+	// others draw mostly from a small pool (so repeats are common),
+	// sometimes anywhere on the device or out of range.
+	var clean []uint64
+	page := func(pool uint64) uint64 {
+		if clean != nil {
+			p := clean[0]
+			clean = clean[1:]
+			return p
+		}
+		switch r := rng.IntN(20); {
+		case r == 0:
+			return 1 + rng.Uint64N(g.DataStart-1)
+		case r == 1:
+			return g.PageCount + rng.Uint64N(4)
+		case r < 8:
+			return g.DataStart + rng.Uint64N(g.PageCount-g.DataStart)
+		}
+		return g.DataStart + rng.Uint64N(pool)
+	}
+	var accepted, rejected int
+	kinds := map[string]int{}
+	for c := 0; c < 3000; c++ {
+		pool := 4 + rng.Uint64N(60)
+		sparse := 1 + rng.IntN(300) // one entry in sparse is a page, the rest holes
+		need := rng.IntN(2*E + 2)
+		clean = nil
+		if c%2 == 0 {
+			clean = make([]uint64, g.PageCount-g.DataStart)
+			for i := range clean {
+				clean[i] = g.DataStart + uint64(i)
+			}
+			rng.Shuffle(len(clean), func(i, j int) { clean[i], clean[j] = clean[j], clean[i] })
+			need = rng.IntN(len(clean) - 4)
+		}
+		var chain []uint64
+		links := 1 + rng.IntN(3)
+		if clean != nil {
+			links = need/E + 1
+		}
+		for p := page(pool); len(chain) < links; p = page(pool) {
+			chain = append(chain, p)
+			if p < g.DataStart || p >= g.PageCount {
+				break // never written: it is an out-of-range pointer
+			}
+		}
+		for _, p := range chain {
+			if p >= g.DataStart && p < g.PageCount {
+				layout.ZeroPage(dev, p)
+			}
+		}
+		idx := 0
+		for i, p := range chain {
+			if p < g.DataStart || p >= g.PageCount {
+				break
+			}
+			for e := 0; e < E && e < need-idx; e++ {
+				if rng.IntN(sparse) == 0 {
+					layout.SetMapEntry(dev, p, e, page(pool))
+				}
+			}
+			if beyond := need - idx; clean == nil && beyond >= 0 && beyond < E && rng.IntN(4) == 0 {
+				layout.SetMapEntry(dev, p, beyond, page(pool))
+			}
+			idx += E
+			if i+1 < len(chain) {
+				layout.SetNextPage(dev, p, chain[i+1])
+			}
+		}
+		var root uint64
+		if len(chain) > 0 && rng.IntN(30) != 0 {
+			root = chain[0]
+		}
+		in := layout.Inode{Type: layout.TypeFile, Perm: layout.PermRead, Nlink: 1, Size: uint64(need)*layout.PageSize - uint64(rng.IntN(2)), DataRoot: root, Parent: layout.RootIno}
+		if need == 0 {
+			in.Size = 0
+		}
+		layout.WriteInode(dev, g, ino, &in)
+
+		wantBlocks, wantMap, wantErr := seenSetParse(v, ino)
+		fv, err := v.ParseFile(ino)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("case %d (chain %v, size %d): ParseFile error %v, seen-set walk %v", c, chain, in.Size, err, wantErr)
+		}
+		if err != nil {
+			rejected++
+			for _, k := range []string{"cycle", "twice", "beyond size"} {
+				if strings.Contains(err.Error(), k) {
+					kinds[k]++
+				}
+			}
+			continue
+		}
+		accepted++
+		if !slices.Equal(fv.Blocks, wantBlocks) || !slices.Equal(fv.MapPages, wantMap) {
+			t.Fatalf("case %d: pages %v %v, want %v %v", c, fv.MapPages, fv.Blocks, wantMap, wantBlocks)
+		}
+		var nonzero []uint64
+		for _, b := range wantBlocks {
+			if b != 0 {
+				nonzero = append(nonzero, b)
+			}
+		}
+		old := fv.Old()
+		if !slices.Equal(old.Blocks, slices.Sorted(slices.Values(nonzero))) || !slices.Equal(old.MapPages, slices.Sorted(slices.Values(wantMap))) || old.Size != in.Size {
+			t.Fatalf("case %d: baseline %+v from pages %v %v", c, old, wantMap, wantBlocks)
+		}
+	}
+	if accepted < 100 || rejected < 100 || len(kinds) < 3 {
+		t.Fatalf("cases: %d accepted, %d rejected (%v); want both >= 100 and every repeat kind", accepted, rejected, kinds)
 	}
 }
 

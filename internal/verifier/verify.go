@@ -266,10 +266,10 @@ func (v *V) verifyRemoval(app int64, dirIno uint64, name string, childIno uint64
 }
 
 // FileOld is the kernel's acquire-time snapshot of a file's verified
-// block set.
+// block set. Blocks and MapPages are ascending and duplicate-free.
 type FileOld struct {
-	Blocks   map[uint64]bool // data blocks (nonzero only)
-	MapPages map[uint64]bool
+	Blocks   []uint64 // data blocks (nonzero only)
+	MapPages []uint64
 	Size     uint64
 }
 
@@ -299,10 +299,8 @@ func (v *V) VerifyFile(app int64, ino uint64, old *FileOld, kv KernelView) (*Fil
 		return nil, fail(ino, "parent pointer changed by LibFS")
 	}
 	res := &FileResult{Inode: in, View: fv}
-	cur := map[uint64]bool{}
 	for _, p := range fv.MapPages {
-		cur[p] = true
-		if !old.MapPages[p] {
+		if !contains(old.MapPages, p) {
 			if !kv.PageUsableBy(app, ino, p) {
 				return nil, fail(ino, "map page %d not granted to the releasing LibFS", p)
 			}
@@ -313,21 +311,20 @@ func (v *V) VerifyFile(app int64, ino uint64, old *FileOld, kv KernelView) (*Fil
 		if b == 0 {
 			continue
 		}
-		cur[b] = true
-		if !old.Blocks[b] && !old.MapPages[b] {
+		if !contains(old.Blocks, b) && !contains(old.MapPages, b) {
 			if !kv.PageUsableBy(app, ino, b) {
 				return nil, fail(ino, "data block %d not granted to the releasing LibFS", b)
 			}
 			res.NewPages = append(res.NewPages, b)
 		}
 	}
-	for _, p := range sortedPageSet(old.MapPages) {
-		if !cur[p] {
+	for _, p := range old.MapPages {
+		if !fv.uses(p) {
 			res.FreedPages = append(res.FreedPages, p)
 		}
 	}
-	for _, b := range sortedPageSet(old.Blocks) {
-		if !cur[b] {
+	for _, b := range old.Blocks {
+		if !fv.uses(b) {
 			res.FreedPages = append(res.FreedPages, b)
 		}
 	}
