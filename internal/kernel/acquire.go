@@ -31,7 +31,10 @@ func (c *Controller) lockShard(ino uint64, sink telemetry.SpanSink) *shadowShard
 	return sh
 }
 
-// ctlView adapts the controller to verifier.KernelView.
+// ctlView adapts the controller to verifier.KernelView. Each shard
+// keeps its view and the controller keeps one for the exclusive epoch,
+// so a verification passes a pointer that is already on the heap
+// instead of boxing a fresh value into the interface.
 //
 // held is the shard the verification in progress already holds (the
 // verified inode's own shard on the shared fast path; nil under the
@@ -46,7 +49,7 @@ type ctlView struct {
 	held *shadowShard
 }
 
-func (v ctlView) Shadow(ino uint64) (verifier.ShadowInfo, bool) {
+func (v *ctlView) Shadow(ino uint64) (verifier.ShadowInfo, bool) {
 	se := v.c.shadowGet(ino, v.held)
 	if se == nil {
 		return verifier.ShadowInfo{}, false
@@ -54,11 +57,11 @@ func (v ctlView) Shadow(ino uint64) (verifier.ShadowInfo, bool) {
 	return se.info, true
 }
 
-func (v ctlView) InodeGrantedTo(app AppID, ino uint64) bool {
+func (v *ctlView) InodeGrantedTo(app AppID, ino uint64) bool {
 	return v.c.inoGranted(app, ino)
 }
 
-func (v ctlView) PageUsableBy(app AppID, ino, page uint64) bool {
+func (v *ctlView) PageUsableBy(app AppID, ino, page uint64) bool {
 	if page >= uint64(len(v.c.pages)) {
 		return false
 	}
@@ -66,7 +69,7 @@ func (v ctlView) PageUsableBy(app AppID, ino, page uint64) bool {
 	return o == ownApp(app) || o == ownIno(ino)
 }
 
-func (v ctlView) OwnedBy(app AppID, ino uint64) bool {
+func (v *ctlView) OwnedBy(app AppID, ino uint64) bool {
 	se := v.c.shadowGet(ino, v.held)
 	if se == nil || se.owner != app {
 		return false
@@ -78,7 +81,7 @@ func (v ctlView) OwnedBy(app AppID, ino uint64) bool {
 	return se.mapping == nil || !se.mapping.dormant.Load()
 }
 
-func (v ctlView) OwnedByOther(app AppID, ino uint64) bool {
+func (v *ctlView) OwnedByOther(app AppID, ino uint64) bool {
 	se := v.c.shadowGet(ino, v.held)
 	if se == nil || se.owner == 0 || se.owner == app {
 		return false
@@ -91,11 +94,11 @@ func (v ctlView) OwnedByOther(app AppID, ino uint64) bool {
 	return true
 }
 
-func (v ctlView) HoldsRenameLock(app AppID) bool {
+func (v *ctlView) HoldsRenameLock(app AppID) bool {
 	return v.c.renameLock.Holder() == app
 }
 
-func (v ctlView) IsDescendant(node, anc uint64) bool {
+func (v *ctlView) IsDescendant(node, anc uint64) bool {
 	return v.c.isDescendant(node, anc, v.held)
 }
 
@@ -283,7 +286,7 @@ func (c *Controller) acquireExcl(appID AppID, ino uint64, write bool) (*Mapping,
 		// operation; that is its problem (§4.3 discussion).
 		c.Stats.Involuntary.Add(1)
 		c.trace.Record(telemetry.EvLeaseExpire, se.owner, ino, int64(appID), 0)
-		if err := c.releaseHeld(se, se.owner, ctlView{c: c}); err != nil && !IsVerificationError(err) {
+		if err := c.releaseHeld(se, se.owner, &c.exclView); err != nil && !IsVerificationError(err) {
 			return nil, err
 		}
 	}
@@ -491,7 +494,7 @@ func (c *Controller) transferFast(appID AppID, ino uint64, kind xferKind, sink t
 	if se.owner != appID {
 		return nil, fmt.Errorf("inode %d not held by app %d: %w", ino, appID, fsapi.ErrPerm), true
 	}
-	m2, err := c.transferHeld(se, appID, kind, ctlView{c: c, held: sh})
+	m2, err := c.transferHeld(se, appID, kind, &sh.view)
 	return m2, err, true
 }
 
@@ -504,7 +507,7 @@ func (c *Controller) transferExcl(appID AppID, ino uint64, kind xferKind) (*Mapp
 	if se.owner != appID {
 		return nil, fmt.Errorf("inode %d not held by app %d: %w", ino, appID, fsapi.ErrPerm)
 	}
-	return c.transferHeld(se, appID, kind, ctlView{c: c})
+	return c.transferHeld(se, appID, kind, &c.exclView)
 }
 
 // missingTransferErr classifies a transfer of an unknown inode: either a
@@ -520,7 +523,7 @@ func (c *Controller) missingTransferErr(appID AppID, ino uint64) error {
 
 // transferHeld applies one transfer kind to an inode the caller has
 // guard-checked. Caller holds se's shard lock or the exclusive epoch.
-func (c *Controller) transferHeld(se *shadowEnt, appID AppID, kind xferKind, view ctlView) (*Mapping, error) {
+func (c *Controller) transferHeld(se *shadowEnt, appID AppID, kind xferKind, view *ctlView) (*Mapping, error) {
 	if m := se.mapping; m != nil && m.dormant.Load() {
 		// The app transfers an inode it had lease-released (a LibFS may
 		// order a Commit of a released parent before re-activating it):
@@ -570,12 +573,12 @@ func (c *Controller) ForceRelease(ino uint64) error {
 		return fsapi.ErrNotExist
 	}
 	c.Stats.Involuntary.Add(1)
-	return c.releaseHeld(se, se.owner, ctlView{c: c})
+	return c.releaseHeld(se, se.owner, &c.exclView)
 }
 
 // releaseHeld tears down se's hold: revoke, unmap, verify, apply or
 // roll back. Caller holds se's shard lock or the exclusive epoch.
-func (c *Controller) releaseHeld(se *shadowEnt, appID AppID, view ctlView) error {
+func (c *Controller) releaseHeld(se *shadowEnt, appID AppID, view *ctlView) error {
 	se.mapping.revoke()
 	for _, m := range se.groupMappings {
 		m.revoke()
@@ -593,7 +596,7 @@ func (c *Controller) releaseHeld(se *shadowEnt, appID AppID, view ctlView) error
 // verifyAndApply runs the verifier on se's current core state and
 // applies the verdict. keepHeld distinguishes Commit from Release.
 // Caller holds se's shard lock (files) or the exclusive epoch.
-func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, view ctlView) error {
+func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, view *ctlView) error {
 	c.Stats.Verifications.Add(1)
 	ino := se.info.Ino
 

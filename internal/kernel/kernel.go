@@ -337,6 +337,7 @@ type Controller struct {
 	// registered-app count (maybeGrowShards) and is swapped only under
 	// the exclusive epoch.
 	shadow            atomic.Pointer[shadowGen]
+	exclView          ctlView // verifications under the exclusive epoch
 	shadowRetiredAcq  atomic.Int64
 	shadowRetiredCont atomic.Int64
 	pages             []pageOwner
@@ -415,7 +416,8 @@ func newController(dev *pmem.Device, g layout.Geometry, opts Options) *Controlle
 		apps:  make(map[AppID]*app),
 		trace: telemetry.NewRing(opts.TraceCap),
 	}
-	c.shadow.Store(newShadowGen(shardsFor(opts.ShadowShards)))
+	c.exclView = ctlView{c: c}
+	c.shadow.Store(newShadowGen(c, shardsFor(opts.ShadowShards)))
 	for i := range c.aclTab {
 		c.aclTab[i].m = make(map[aclKey]uint16)
 	}
@@ -567,7 +569,7 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 	})
 	for _, se := range held {
 		c.Stats.Involuntary.Add(1)
-		if err := c.releaseHeld(se, appID, ctlView{c: c}); err != nil && !IsVerificationError(err) {
+		if err := c.releaseHeld(se, appID, &c.exclView); err != nil && !IsVerificationError(err) {
 			return err
 		}
 	}

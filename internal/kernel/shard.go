@@ -62,10 +62,11 @@ func shardsFor(napps int) int {
 	return n
 }
 
-func newShadowGen(n int) *shadowGen {
+func newShadowGen(c *Controller, n int) *shadowGen {
 	g := &shadowGen{shards: make([]shadowShard, n), mask: uint64(n - 1)}
 	for i := range g.shards {
 		g.shards[i].m = make(map[uint64]*shadowEnt)
+		g.shards[i].view = ctlView{c: c, held: &g.shards[i]}
 	}
 	return g
 }
@@ -86,7 +87,7 @@ func (c *Controller) maybeGrowShards(napps int) {
 	if want <= len(old.shards) {
 		return // raced with another grower
 	}
-	next := newShadowGen(want)
+	next := newShadowGen(c, want)
 	for i := range old.shards {
 		sh := &old.shards[i]
 		for ino, se := range sh.m {
@@ -103,6 +104,7 @@ func (c *Controller) maybeGrowShards(napps int) {
 type shadowShard struct {
 	mu           hlock.SpinLock
 	m            map[uint64]*shadowEnt
+	view         ctlView // verifications under this shard's lock
 	acquisitions atomic.Int64
 	contended    atomic.Int64
 }

@@ -17,13 +17,26 @@ type Iterator struct {
 	}
 }
 
-// source is one sorted input to the merge.
+// source is one sorted input to the merge: the memtable's skiplist, or
+// a cursor over one read of a table's data section.
 type source struct {
-	prio int // lower wins ties (newer data)
-	key  []byte
-	val  []byte
-	del  bool
-	next func() bool // advances; false at exhaustion
+	cursor
+	prio int       // lower wins ties (newer data)
+	node *skipNode // memtable source: the next node to yield
+	mem  bool
+}
+
+// next advances; false at exhaustion.
+func (s *source) next() bool {
+	if !s.mem {
+		return s.cursor.next()
+	}
+	if s.node == nil {
+		return false
+	}
+	s.key, s.val, s.del = s.node.key, s.node.val, s.node.del
+	s.node = s.node.next[0]
+	return true
 }
 
 type iterHeap []*source
@@ -48,59 +61,30 @@ func (db *DB) NewIterator() (*Iterator, error) {
 	prio := 0
 
 	// Memtable source.
-	node := db.mem.first()
-	if node != nil {
-		s := &source{prio: prio}
-		cur := node
-		s.next = func() bool {
-			if cur == nil {
-				return false
-			}
-			s.key, s.val, s.del = cur.key, cur.val, cur.del
-			cur = cur.next[0]
-			return true
-		}
-		if s.next() {
-			it.h = append(it.h, s)
-		}
+	s := &source{prio: prio, node: db.mem.first(), mem: true}
+	if s.next() {
+		it.h = append(it.h, s)
 	}
 	prio++
 
-	// Table sources: materialize each table's entries (tables are
+	// Table sources: one read of each table's data (tables are
 	// immutable; this snapshot stays consistent after the lock drops).
+	db.tmu.Lock()
+	defer db.tmu.Unlock()
 	for _, tables := range db.levels {
 		for _, meta := range tables {
 			r := db.readers[meta.file]
 			if r == nil {
 				continue
 			}
-			type ent struct {
-				k, v []byte
-				del  bool
-			}
-			var ents []ent
-			if err := r.scan(func(k, v []byte, del bool) bool {
-				ents = append(ents, ent{append([]byte(nil), k...), append([]byte(nil), v...), del})
-				return true
-			}); err != nil {
+			c, err := r.readData(nil)
+			if err != nil {
 				return nil, err
 			}
-			if len(ents) == 0 {
-				prio++
-				continue
+			s := &source{cursor: c, prio: prio}
+			if s.next() {
+				it.h = append(it.h, s)
 			}
-			i := 0
-			s := &source{prio: prio}
-			s.next = func() bool {
-				if i >= len(ents) {
-					return false
-				}
-				s.key, s.val, s.del = ents[i].k, ents[i].v, ents[i].del
-				i++
-				return true
-			}
-			s.next()
-			it.h = append(it.h, s)
 			prio++
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"arckfs/internal/fsapi"
@@ -49,8 +49,16 @@ func (o *Options) fill() {
 }
 
 // DB is one open store. It is safe for concurrent use; writes serialize
-// on an internal mutex (as LevelDB's writer queue does), reads run
-// concurrently against immutable tables.
+// on an internal mutex (as LevelDB's writer queue does). Memtable reads
+// run concurrently; table reads go through the one maintenance Thread,
+// so they serialize on tmu.
+//
+// Flushes and compactions reuse buffers owned by the DB, which is safe
+// because both hold mu exclusively. The buffers keep the size of the
+// largest compaction: its inputs' data sections (srcBuf) plus its output
+// table (build). Level 1 holds one table that every L0 compaction
+// rewrites, so this is about twice the store's live data: some 80 MiB
+// for 32 Ki keys with 1 KiB values.
 type DB struct {
 	fs   fsapi.FS
 	opts Options
@@ -62,6 +70,13 @@ type DB struct {
 	readers map[string]*tableReader
 	nextNum int
 	t       fsapi.Thread // internal maintenance thread
+	build   tableBuilder // the table being flushed or compacted
+	srcBuf  []byte       // compaction sources' data sections
+
+	// tmu serializes table reads on t by readers holding mu shared, and
+	// guards blk, the index block a table probe reads.
+	tmu sync.Mutex
+	blk []byte
 }
 
 // Open creates or reopens a database in opts.Dir.
@@ -117,7 +132,7 @@ func (db *DB) write(key, val []byte, del bool) error {
 	if err := db.wal.append(key, val, del); err != nil {
 		return err
 	}
-	db.mem.put(append([]byte(nil), key...), append([]byte(nil), val...), del)
+	db.mem.put(key, val, del)
 	if db.mem.size >= db.opts.MemtableBytes {
 		return db.flushLocked()
 	}
@@ -134,6 +149,8 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		}
 		return append([]byte(nil), val...), nil
 	}
+	db.tmu.Lock()
+	defer db.tmu.Unlock()
 	// L0 newest-first, then deeper levels.
 	for lvl, tables := range db.levels {
 		ordered := tables
@@ -150,7 +167,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 			if r == nil {
 				continue
 			}
-			val, del, found, err := r.get(key)
+			val, del, found, err := r.get(key, &db.blk)
 			if err != nil {
 				return nil, err
 			}
@@ -197,12 +214,12 @@ func (db *DB) flushLocked() error {
 	}
 	num := db.nextNum
 	db.nextNum++
-	meta, err := writeTable(db.t, db.tablePath(num), func(yield func(k, v []byte, del bool)) {
-		db.mem.iter(func(k, v []byte, del bool) bool {
-			yield(k, v, del)
-			return true
-		})
+	db.build.reset(db.mem.size)
+	db.mem.iter(func(k, v []byte, del bool) bool {
+		db.build.add(k, v, del)
+		return true
 	})
+	meta, err := writeTable(db.t, db.tablePath(num), &db.build)
 	if err != nil {
 		return err
 	}
@@ -273,16 +290,10 @@ func (db *DB) compactLocked(lvl int) error {
 
 // mergeTables produces a sorted, deduplicated run from srcs (earlier
 // tables take precedence). dropTombstones is set when merging into the
-// bottom level.
+// bottom level. It reads each source's data section once into srcBuf
+// and streams a cursor merge into the table builder, as LevelDB does.
 func (db *DB) mergeTables(srcs []*tableMeta, dropTombstones bool) ([]*tableMeta, error) {
-	type rec struct {
-		val []byte
-		del bool
-	}
-	// Materialized merge: newest-first insertion so older values never
-	// overwrite newer ones. (LevelDB streams this; materializing is
-	// equivalent for our scales and keeps the code auditable.)
-	entries := map[string]rec{}
+	total := 0
 	for _, meta := range srcs {
 		r := db.readers[meta.file]
 		if r == nil {
@@ -293,32 +304,28 @@ func (db *DB) mergeTables(srcs []*tableMeta, dropTombstones bool) ([]*tableMeta,
 			}
 			db.readers[meta.file] = r
 		}
-		err := r.scan(func(k, v []byte, del bool) bool {
-			if _, seen := entries[string(k)]; !seen {
-				entries[string(k)] = rec{val: append([]byte(nil), v...), del: del}
-			}
-			return true
-		})
+		total += int(r.dataSize)
+	}
+	db.srcBuf = slices.Grow(db.srcBuf[:0], total)[:total]
+	curs := make([]cursor, 0, len(srcs))
+	off := 0
+	for _, meta := range srcs {
+		r := db.readers[meta.file]
+		n := int(r.dataSize)
+		c, err := r.readData(db.srcBuf[off : off : off+n])
 		if err != nil {
 			return nil, err
 		}
-	}
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		if dropTombstones && entries[k].del {
-			continue
+		off += n
+		if c.next() {
+			curs = append(curs, c)
 		}
-		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	db.build.reset(total)
+	mergeCursors(&db.build, curs, dropTombstones)
 	num := db.nextNum
 	db.nextNum++
-	meta, err := writeTable(db.t, db.tablePath(num), func(yield func(k, v []byte, del bool)) {
-		for _, k := range keys {
-			e := entries[k]
-			yield([]byte(k), e.val, e.del)
-		}
-	})
+	meta, err := writeTable(db.t, db.tablePath(num), &db.build)
 	if err != nil {
 		return nil, err
 	}
@@ -335,6 +342,34 @@ func (db *DB) mergeTables(srcs []*tableMeta, dropTombstones bool) ([]*tableMeta,
 		return nil, nil
 	}
 	return []*tableMeta{meta}, nil
+}
+
+// mergeCursors adds the newest version of every key in curs to b, in key
+// order. Each cursor must be positioned on its first entry; on equal
+// keys the earliest cursor wins. A winning tombstone is dropped when
+// dropTombstones is set. There are at most L0Tables+1 sources, so a
+// linear scan for the minimum beats a heap.
+func mergeCursors(b *tableBuilder, curs []cursor, dropTombstones bool) {
+	for len(curs) > 0 {
+		min := 0
+		for i := 1; i < len(curs); i++ {
+			if bytes.Compare(curs[i].key, curs[min].key) < 0 {
+				min = i
+			}
+		}
+		win := curs[min]
+		if !win.del || !dropTombstones {
+			b.add(win.key, win.val, win.del)
+		}
+		// Advance every cursor on this key, dropping exhausted ones.
+		for i := 0; i < len(curs); {
+			if bytes.Equal(curs[i].key, win.key) && !curs[i].next() {
+				curs = append(curs[:i], curs[i+1:]...)
+				continue
+			}
+			i++
+		}
+	}
 }
 
 // --- Manifest ---------------------------------------------------------------

@@ -154,3 +154,45 @@ func newStoreFS(t *testing.T) fsapi.FS {
 	_, fs := newStore(t, Options{Dir: "/warmup"})
 	return fs
 }
+
+// TestConcurrentTableGets has two readers Get keys that live only in
+// flushed tables, so every Get reads through the store's maintenance
+// Thread. Run with -race: table reads must serialize on that Thread.
+func TestConcurrentTableGets(t *testing.T) {
+	db, _ := newStore(t, Options{MemtableBytes: 4 << 10, L0Tables: 3})
+	const keys = 200
+	for k := 0; k < keys; k++ {
+		if err := db.Put([]byte(fmt.Sprintf("t%04d", k)), []byte(fmt.Sprintf("val%04d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for r := range errs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := (i*7 + r*13) % keys
+				got, err := db.Get([]byte(fmt.Sprintf("t%04d", k)))
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				if want := fmt.Sprintf("val%04d", k); string(got) != want {
+					errs[r] = fmt.Errorf("Get(t%04d) = %q, want %q", k, got, want)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %d: %v", r, err)
+		}
+	}
+}

@@ -40,9 +40,10 @@ func (m *memtable) randomLevel() int {
 	return lvl
 }
 
-// put inserts or overwrites key.
+// put inserts or overwrites key. It stores copies of key and val; a new
+// node's copies share one allocation.
 func (m *memtable) put(key, val []byte, del bool) {
-	update := make([]*skipNode, skipMaxLevel)
+	var update [skipMaxLevel]*skipNode
 	x := m.head
 	for i := m.maxLvl - 1; i >= 0; i-- {
 		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
@@ -52,10 +53,14 @@ func (m *memtable) put(key, val []byte, del bool) {
 	}
 	if n := x.next[0]; n != nil && bytes.Equal(n.key, key) {
 		m.size += len(val) - len(n.val)
-		n.val = val
+		n.val = append([]byte(nil), val...)
 		n.del = del
 		return
 	}
+	kv := make([]byte, len(key)+len(val))
+	copy(kv, key)
+	copy(kv[len(key):], val)
+	key, val = kv[:len(key):len(key)], kv[len(key):]
 	lvl := m.randomLevel()
 	if lvl > m.maxLvl {
 		for i := m.maxLvl; i < lvl; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"arckfs/internal/fsapi"
@@ -32,9 +33,76 @@ type tableMeta struct {
 	entries  int
 }
 
-// writeTable writes sorted entries to path via t and returns its meta.
-// src must yield keys in strictly increasing order.
-func writeTable(t fsapi.Thread, path string, src func(yield func(key, val []byte, del bool))) (*tableMeta, error) {
+// tableBuilder encodes one table in memory. The DB owns one and reuses
+// its buffers for every flush and compaction, so once they have grown
+// to the largest table written, building a table allocates nothing.
+type tableBuilder struct {
+	data []byte // entries, then (after finish) index, trailer and footer
+	idx  []byte
+	// Offset and length of the first and last key in data.
+	firstOff, firstLen int
+	lastOff, lastLen   int
+	count              int
+}
+
+// reset empties b and grows its buffers for about sizeHint bytes of
+// entries. An index entry is at most 12/8 of the entry it points at and
+// covers 1 in indexStride entries, so sizeHint/8 bounds the index.
+func (b *tableBuilder) reset(sizeHint int) {
+	*b = tableBuilder{
+		data: slices.Grow(b.data[:0], sizeHint+sizeHint/8+footerSize),
+		idx:  slices.Grow(b.idx[:0], sizeHint/8),
+	}
+}
+
+// add appends one entry. Keys must arrive in strictly increasing order.
+func (b *tableBuilder) add(key, val []byte, del bool) {
+	if b.count%indexStride == 0 {
+		b.idx = binary.LittleEndian.AppendUint32(b.idx, uint32(len(key)))
+		b.idx = append(b.idx, key...)
+		b.idx = binary.LittleEndian.AppendUint64(b.idx, uint64(len(b.data)))
+	}
+	vlen := uint32(len(val))
+	if del {
+		vlen = tombstoneLen
+	}
+	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(len(key)))
+	b.data = binary.LittleEndian.AppendUint32(b.data, vlen)
+	if b.count == 0 {
+		b.firstOff, b.firstLen = len(b.data), len(key)
+	}
+	b.lastOff, b.lastLen = len(b.data), len(key)
+	b.data = append(b.data, key...)
+	if !del {
+		b.data = append(b.data, val...)
+	}
+	b.count++
+}
+
+// finish appends the index, trailer and footer to the entries and
+// returns the whole file image, which stays valid until the next reset.
+func (b *tableBuilder) finish() []byte {
+	indexOff := len(b.data)
+	indexCount := (b.count + indexStride - 1) / indexStride
+	b.data = append(b.data, b.idx...)
+	// Trailer: smallest key, largest key, footer.
+	b.data = append(b.data, b.smallest()...)
+	b.data = append(b.data, b.largest()...)
+	b.data = binary.LittleEndian.AppendUint64(b.data, uint64(indexOff))
+	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(indexCount))
+	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(b.count))
+	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(b.firstLen))
+	b.data = binary.LittleEndian.AppendUint32(b.data, uint32(b.lastLen))
+	b.data = binary.LittleEndian.AppendUint64(b.data, ssMagic)
+	return b.data
+}
+
+func (b *tableBuilder) smallest() []byte { return b.data[b.firstOff : b.firstOff+b.firstLen] }
+func (b *tableBuilder) largest() []byte  { return b.data[b.lastOff : b.lastOff+b.lastLen] }
+
+// writeTable writes the table b holds to path via t, with one WriteAt
+// and one Fsync, and returns its meta.
+func writeTable(t fsapi.Thread, path string, b *tableBuilder) (*tableMeta, error) {
 	if err := t.Create(path); err != nil {
 		return nil, err
 	}
@@ -43,65 +111,43 @@ func writeTable(t fsapi.Thread, path string, src func(yield func(key, val []byte
 		return nil, err
 	}
 	defer t.Close(fd)
-
-	var buf bytes.Buffer
-	var idx bytes.Buffer
-	var smallest, largest []byte
-	count := 0
-	src(func(key, val []byte, del bool) {
-		if count%indexStride == 0 {
-			var kl [4]byte
-			binary.LittleEndian.PutUint32(kl[:], uint32(len(key)))
-			idx.Write(kl[:])
-			idx.Write(key)
-			var off [8]byte
-			binary.LittleEndian.PutUint64(off[:], uint64(buf.Len()))
-			idx.Write(off[:])
-		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(key)))
-		vlen := uint32(len(val))
-		if del {
-			vlen = tombstoneLen
-		}
-		binary.LittleEndian.PutUint32(hdr[4:], vlen)
-		buf.Write(hdr[:])
-		buf.Write(key)
-		if !del {
-			buf.Write(val)
-		}
-		if smallest == nil {
-			smallest = append([]byte(nil), key...)
-		}
-		largest = append(largest[:0], key...)
-		count++
-	})
-
-	indexOff := buf.Len()
-	indexCount := 0
-	if count > 0 {
-		indexCount = (count + indexStride - 1) / indexStride
-	}
-	buf.Write(idx.Bytes())
-	// Trailer: smallest key, largest key, footer.
-	buf.Write(smallest)
-	buf.Write(largest)
-	var foot [footerSize]byte
-	binary.LittleEndian.PutUint64(foot[0:], uint64(indexOff))
-	binary.LittleEndian.PutUint32(foot[8:], uint32(indexCount))
-	binary.LittleEndian.PutUint32(foot[12:], uint32(count))
-	binary.LittleEndian.PutUint32(foot[16:], uint32(len(smallest)))
-	binary.LittleEndian.PutUint32(foot[20:], uint32(len(largest)))
-	binary.LittleEndian.PutUint64(foot[24:], ssMagic)
-	buf.Write(foot[:])
-
-	if _, err := t.WriteAt(fd, buf.Bytes(), 0); err != nil {
+	img := b.finish()
+	if _, err := t.WriteAt(fd, img, 0); err != nil {
 		return nil, err
 	}
 	if err := t.Fsync(fd); err != nil {
 		return nil, err
 	}
-	return &tableMeta{file: path, smallest: smallest, largest: largest, entries: count}, nil
+	return &tableMeta{file: path, smallest: bytes.Clone(b.smallest()), largest: bytes.Clone(b.largest()), entries: b.count}, nil
+}
+
+// cursor walks the entries of a table's data section (or of one index
+// block of it) in key order. key and val alias the walked buffer.
+type cursor struct {
+	data []byte
+	pos  int
+	key  []byte
+	val  []byte
+	del  bool
+}
+
+// next advances to the next entry and reports whether there is one.
+func (c *cursor) next() bool {
+	if c.pos+8 > len(c.data) {
+		return false
+	}
+	kl := int(binary.LittleEndian.Uint32(c.data[c.pos:]))
+	vl := binary.LittleEndian.Uint32(c.data[c.pos+4:])
+	c.pos += 8
+	c.key = c.data[c.pos : c.pos+kl]
+	c.pos += kl
+	c.del = vl == tombstoneLen
+	c.val = nil
+	if !c.del {
+		c.val = c.data[c.pos : c.pos+int(vl)]
+		c.pos += int(vl)
+	}
+	return true
 }
 
 // tableReader serves point lookups and scans from one table. It keeps
@@ -163,8 +209,10 @@ func openTable(t fsapi.Thread, meta *tableMeta) (*tableReader, error) {
 
 func (r *tableReader) close() { r.t.Close(r.fd) }
 
-// get performs a point lookup.
-func (r *tableReader) get(key []byte) (val []byte, del, found bool, err error) {
+// get performs a point lookup. It reads the index block that may hold
+// key into *blk, growing it as needed, and copies out only the value it
+// returns.
+func (r *tableReader) get(key []byte, blk *[]byte) (val []byte, del, found bool, err error) {
 	if len(r.idxKeys) == 0 {
 		return nil, false, false, nil
 	}
@@ -183,29 +231,18 @@ func (r *tableReader) get(key []byte) (val []byte, del, found bool, err error) {
 	if i+1 < len(r.idxOffs) {
 		end = int64(r.idxOffs[i+1])
 	}
-	blk := make([]byte, end-start)
-	if _, err := r.t.ReadAt(r.fd, blk, start); err != nil {
+	*blk = slices.Grow((*blk)[:0], int(end-start))[:end-start]
+	if _, err := r.t.ReadAt(r.fd, *blk, start); err != nil {
 		return nil, false, false, err
 	}
-	pos := 0
-	for pos+8 <= len(blk) {
-		kl := int(binary.LittleEndian.Uint32(blk[pos:]))
-		vl := binary.LittleEndian.Uint32(blk[pos+4:])
-		pos += 8
-		k := blk[pos : pos+kl]
-		pos += kl
-		tomb := vl == tombstoneLen
-		var v []byte
-		if !tomb {
-			v = blk[pos : pos+int(vl)]
-			pos += int(vl)
-		}
-		switch bytes.Compare(k, key) {
+	c := cursor{data: *blk}
+	for c.next() {
+		switch bytes.Compare(c.key, key) {
 		case 0:
-			if tomb {
+			if c.del {
 				return nil, true, true, nil
 			}
-			return append([]byte(nil), v...), false, true, nil
+			return append([]byte(nil), c.val...), false, true, nil
 		case 1:
 			return nil, false, false, nil
 		}
@@ -213,28 +250,12 @@ func (r *tableReader) get(key []byte) (val []byte, del, found bool, err error) {
 	return nil, false, false, nil
 }
 
-// scan yields every entry in order.
-func (r *tableReader) scan(fn func(key, val []byte, del bool) bool) error {
-	data := make([]byte, r.dataSize)
-	if _, err := r.t.ReadAt(r.fd, data, 0); err != nil {
-		return err
+// readData reads the table's data section into buf, growing it as
+// needed, and returns a cursor over it.
+func (r *tableReader) readData(buf []byte) (cursor, error) {
+	buf = slices.Grow(buf[:0], int(r.dataSize))[:r.dataSize]
+	if _, err := r.t.ReadAt(r.fd, buf, 0); err != nil {
+		return cursor{}, err
 	}
-	pos := 0
-	for pos+8 <= len(data) {
-		kl := int(binary.LittleEndian.Uint32(data[pos:]))
-		vl := binary.LittleEndian.Uint32(data[pos+4:])
-		pos += 8
-		key := data[pos : pos+kl]
-		pos += kl
-		tomb := vl == tombstoneLen
-		var val []byte
-		if !tomb {
-			val = data[pos : pos+int(vl)]
-			pos += int(vl)
-		}
-		if !fn(key, val, tomb) {
-			return nil
-		}
-	}
-	return nil
+	return cursor{data: buf}, nil
 }

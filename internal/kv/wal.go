@@ -2,6 +2,7 @@ package kv
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"arckfs/internal/fsapi"
 )
@@ -15,6 +16,7 @@ type wal struct {
 	path string
 	fd   fsapi.FD
 	off  int64
+	buf  []byte // the record being appended, reused across appends
 }
 
 func openWAL(t fsapi.Thread, path string) (*wal, error) {
@@ -34,8 +36,10 @@ func openWAL(t fsapi.Thread, path string) (*wal, error) {
 
 func (w *wal) append(key, val []byte, del bool) error {
 	total := 4 + 1 + 4 + 4 + len(key) + len(val)
-	buf := make([]byte, total)
+	w.buf = slices.Grow(w.buf[:0], total)[:total]
+	buf := w.buf
 	binary.LittleEndian.PutUint32(buf[0:], uint32(total))
+	buf[4] = 0
 	if del {
 		buf[4] = 1
 	}
@@ -95,9 +99,7 @@ func (db *DB) replayWAL() error {
 		if 13+kl+vl != total {
 			break
 		}
-		key := append([]byte(nil), buf[pos+13:pos+13+kl]...)
-		val := append([]byte(nil), buf[pos+13+kl:pos+total]...)
-		db.mem.put(key, val, del)
+		db.mem.put(buf[pos+13:pos+13+kl], buf[pos+13+kl:pos+total], del)
 		pos += total
 	}
 	return nil

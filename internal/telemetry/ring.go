@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -106,14 +107,29 @@ func (e Event) String() string {
 }
 
 // Ring is a bounded trace buffer. Recording is one atomic sequence
-// increment plus one pointer store, so it is cheap enough to stay
-// enabled during benchmarks; when full it overwrites the oldest events.
-// All methods are safe on a nil *Ring (they become no-ops), so call
-// sites do not need to guard a disabled trace.
+// increment plus a store into a preallocated slot, so it allocates
+// nothing and is cheap enough to stay enabled during benchmarks; when
+// full it overwrites the oldest events. All methods are safe on a nil
+// *Ring (they become no-ops), so call sites do not need to guard a
+// disabled trace.
 type Ring struct {
-	slots []atomic.Pointer[Event]
+	slots []slot
 	seq   atomic.Uint64
 	start time.Time
+}
+
+// slot holds one event. ver is (Seq+1)<<1 of the event it holds, with
+// bit 0 set while a writer fills it, and 0 while the slot is empty. The
+// payload words are atomics so a Snapshot racing a writer is well
+// defined; it keeps a slot only if ver read the same, and even, on both
+// sides of the payload.
+type slot struct {
+	ver   atomic.Uint64
+	nanos atomic.Int64
+	kind  atomic.Uint32
+	app   atomic.Int64
+	ino   atomic.Uint64
+	a, b  atomic.Int64
 }
 
 // NewRing creates a ring holding up to capacity events (minimum 16).
@@ -121,7 +137,7 @@ func NewRing(capacity int) *Ring {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Ring{slots: make([]atomic.Pointer[Event], capacity), start: time.Now()}
+	return &Ring{slots: make([]slot, capacity), start: time.Now()}
 }
 
 // Record appends one event.
@@ -130,16 +146,25 @@ func (r *Ring) Record(kind EventKind, app int64, ino uint64, a, b int64) {
 		return
 	}
 	seq := r.seq.Add(1) - 1
-	ev := &Event{
-		Seq:   seq,
-		Nanos: time.Since(r.start).Nanoseconds(),
-		Kind:  kind,
-		App:   app,
-		Ino:   ino,
-		A:     a,
-		B:     b,
+	sl := &r.slots[seq%uint64(len(r.slots))]
+	ver := (seq + 1) << 1
+	for {
+		cur := sl.ver.Load()
+		if cur&^1 > ver {
+			return // a newer event already took the slot
+		}
+		if cur&1 == 0 && sl.ver.CompareAndSwap(cur, ver|1) {
+			break
+		}
+		runtime.Gosched() // an older event's writer is mid-store
 	}
-	r.slots[seq%uint64(len(r.slots))].Store(ev)
+	sl.nanos.Store(time.Since(r.start).Nanoseconds())
+	sl.kind.Store(uint32(kind))
+	sl.app.Store(app)
+	sl.ino.Store(ino)
+	sl.a.Store(a)
+	sl.b.Store(b)
+	sl.ver.Store(ver)
 }
 
 // Total returns how many events were ever recorded (including
@@ -160,15 +185,30 @@ func (r *Ring) Cap() int {
 }
 
 // Snapshot returns the buffered events oldest-first. Under concurrent
-// recording the snapshot is a best-effort consistent view.
+// recording the snapshot is a best-effort consistent view: it skips
+// slots a writer is filling.
 func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
 	out := make([]Event, 0, len(r.slots))
 	for i := range r.slots {
-		if ev := r.slots[i].Load(); ev != nil {
-			out = append(out, *ev)
+		sl := &r.slots[i]
+		ver := sl.ver.Load()
+		if ver == 0 || ver&1 == 1 {
+			continue // empty, or mid-write
+		}
+		ev := Event{
+			Seq:   ver>>1 - 1,
+			Nanos: sl.nanos.Load(),
+			Kind:  EventKind(sl.kind.Load()),
+			App:   sl.app.Load(),
+			Ino:   sl.ino.Load(),
+			A:     sl.a.Load(),
+			B:     sl.b.Load(),
+		}
+		if sl.ver.Load() == ver {
+			out = append(out, ev)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

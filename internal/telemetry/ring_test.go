@@ -81,7 +81,8 @@ func TestRingConcurrent(t *testing.T) {
 // TestRingWraparoundConcurrentWriters drives many writers through
 // several full wraps of a small ring, then settles it with a quiescent
 // pass. During the storm every observed event must be internally
-// consistent (no torn payloads — each slot swap is one pointer store);
+// consistent (no torn payloads — Snapshot skips a slot whose version
+// word moved while it read the payload);
 // after the settle pass the ring must hold exactly the newest window.
 func TestRingWraparoundConcurrentWriters(t *testing.T) {
 	const (
@@ -139,6 +140,16 @@ func TestRingWraparoundConcurrentWriters(t *testing.T) {
 		if ev.App != 99 || ev.Kind != EvReturnPages {
 			t.Fatalf("settled ring retained stale event: %+v", ev)
 		}
+	}
+}
+
+func TestRingRecordAllocsNothing(t *testing.T) {
+	r := NewRing(16)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Record(EvAcquire, 1, 2, 3, 4)
+	})
+	if allocs != 0 {
+		t.Fatalf("Record: %v allocs, want 0", allocs)
 	}
 }
 
